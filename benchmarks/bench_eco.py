@@ -38,7 +38,7 @@ import time
 from repro import obs
 from repro.engine import EngineSpec, build_engine
 from repro.geometry.net import Net
-from repro.incremental import EXACT_TIERS, apply_delta, perturb_nets
+from repro.incremental import apply_delta, perturb_nets
 
 from conftest import RESULTS_DIR, write_artifact
 
@@ -112,7 +112,7 @@ def test_eco_speedup_vs_full_reroute():
                 name: cold.route(net) for name, net in current.items()
             }
             cold_samples.append(time.perf_counter() - t0)
-            if result.tier in EXACT_TIERS:
+            if result.exact:
                 exact_checked += 1
                 assert result.front == cold_fronts[delta.net], (
                     f"edit #{index} ({delta!r}) via tier {result.tier} "

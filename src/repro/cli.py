@@ -211,16 +211,13 @@ def _cmd_draw(args: argparse.Namespace) -> int:
 def _cmd_negotiate(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .congestion.model import HAVE_NUMPY, CapacityGrid
+    from .congestion.model import CapacityGrid
     from .congestion.negotiate import (
         NegotiatedRouter,
         NegotiatorConfig,
         Scenario,
     )
 
-    if not HAVE_NUMPY:
-        print("error: `negotiate` needs NumPy installed", file=sys.stderr)
-        return 2
     if args.nets:
         from .io.nets_format import load_nets
 
@@ -313,7 +310,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
 
     from .engine import EngineSpec, build_engine
     from .incremental.delta import apply_delta, load_deltas
-    from .incremental.engine import EXACT_TIERS
     from .io.nets_format import load_nets
     from .lut.default import default_table
 
@@ -359,7 +355,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
         )
         if delta.kind != "blockage":
             current[delta.net] = apply_delta(current[delta.net], delta)
-        if args.compare_cold and result.tier in EXACT_TIERS:
+        if args.compare_cold and result.exact:
             cold_front = build_engine(spec).route(current[delta.net])
             warm = [(w, d) for w, d, _t in result.front or []]
             cold = [(w, d) for w, d, _t in cold_front]

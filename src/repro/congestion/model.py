@@ -40,19 +40,13 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
+import numpy as np
+
 from ..geometry.point import PointLike
 from ..routing.embedding import Segment, embed_edge
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..routing.tree import RoutingTree
-
-try:  # pragma: no cover - exercised implicitly on import
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy-less deployment
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 #: Loose alias for numpy arrays (same convention as ``core.frontier_array``).
 Array = Any
@@ -60,15 +54,6 @@ Array = Any
 #: Sub-resolution slack used by the rasterizer: runs shorter than this are
 #: attributed to the next cell instead of producing phantom slivers.
 _EPS = 1e-12
-
-
-def _require_numpy() -> None:
-    """Raise a clear error when NumPy is unavailable for CapacityGrid."""
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "repro.congestion.CapacityGrid requires NumPy; the static "
-            "CongestionMap API remains available without it"
-        )
 
 
 def scan_cells(
@@ -342,7 +327,6 @@ class CapacityGrid(_GridCostModel):
         outside_weight: float = 1.0,
     ) -> None:
         """Build a grid from base weights and (scalar or per-cell) capacity."""
-        _require_numpy()
         if cell <= 0:
             raise ValueError(f"cell size must be positive, got {cell}")
         self.xlo = float(xlo)
@@ -385,7 +369,6 @@ class CapacityGrid(_GridCostModel):
         pres_fac: float = 0.0, hist_fac: float = 0.0,
     ) -> "CapacityGrid":
         """A constant-weight, constant-capacity grid over a square frame."""
-        _require_numpy()
         cell = (xhi - xlo) / nx
         if abs((yhi - ylo) / ny - cell) > 1e-9:
             raise ValueError("uniform grid requires square cells")

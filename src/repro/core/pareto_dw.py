@@ -223,9 +223,9 @@ def pareto_dw(
     segmented pass (see :mod:`repro.core.frontier_array` and
     ``docs/numerics.md``). The frontier — objectives, payload tie choices
     and the shared work counters — is bit-identical to the reference;
-    only the work done differs. When NumPy is unavailable the call falls
-    back to the pure-Python path selected by ``kernels`` (mirroring
-    :meth:`~repro.geometry.hanan.HananGrid.distance_matrix`).
+    only the work done differs. This is the one place the engine choice
+    is made: every router reaches DW through this function with the
+    default ``"tuple"``.
 
     Raises :class:`DegreeTooLargeError` when ``net.degree > max_degree``,
     ``ValueError`` for an unknown ``representation``.
@@ -248,11 +248,6 @@ def pareto_dw(
         import time as _time
 
         t0 = _time.perf_counter()
-    if representation == "array":
-        from .frontier_array import HAVE_NUMPY
-
-        if not HAVE_NUMPY:  # pragma: no cover - numpy is a hard dependency
-            representation = "tuple"
     with span("dw.solve"):
         if representation == "array":
             result = _pareto_dw_array_impl(
@@ -887,7 +882,7 @@ ragged_product_indices` and filtered by one segmented exact sweep, one
         if stats is not None:
             stats.merge_transitions += int(((c1 > 0) & (c2 > 0)).sum())
         cnts = c1 * c2
-        _, i_a, i_b = ragged_product_indices(c1, c2, st1, st2, rows=False)
+        i_a, i_b = ragged_product_indices(c1, c2, st1, st2)
         sw, sd = _slot_w_d()
         # Merged pair: w adds, d maxes (in place over the fresh gathers).
         mw = sw.take(i_a)
@@ -1145,12 +1140,7 @@ class DWState:
     whose sinks are positionally unchanged (same index, same coordinates)
     and skip its computation; the skipped work would have reproduced the
     stored fronts bit-for-bit (see the module comment above for why).
-
-    Fronts are stored in the tuple representation; :meth:`front_arrays`
-    exposes the same data as contiguous ``(w[], d[], payloads)`` arrays —
-    the :mod:`repro.core.frontier_array` layout — for array-engine
-    consumers. Both views describe one immutable solve; nothing here is
-    ever mutated after capture.
+    Nothing here is ever mutated after capture.
     """
 
     signature: Tuple[Any, ...]
@@ -1161,20 +1151,6 @@ class DWState:
     def num_masks(self) -> int:
         """How many sink-subset masks the snapshot holds."""
         return len(self.fronts)
-
-    def front_arrays(
-        self, mask: int, node: GridNode
-    ) -> Tuple[Any, Any, List[Any]]:
-        """One stored front as ``(w[], d[], payloads)`` arrays.
-
-        The array-representation view of the tuple-stored front (exact
-        float round trip — see :func:`repro.core.frontier_array.\
-front_to_arrays`). Returns empty arrays for an unknown mask/node.
-        """
-        from .frontier_array import front_to_arrays
-
-        front = self.fronts.get(mask, {}).get(node, [])
-        return front_to_arrays(front)
 
 
 @dataclass

@@ -53,7 +53,6 @@ def pareto_ks(
     base_size: int = 9,
     base_solver: Optional[BaseSolver] = None,
     max_front: int = 32,
-    representation: str = "tuple",
 ) -> List[Solution]:
     """Approximate the Pareto frontier of ``net`` by divide and conquer.
 
@@ -67,26 +66,8 @@ def pareto_ks(
     max_front:
         Intermediate fronts are truncated to this many solutions (evenly
         spread by wirelength) to bound the ``|S|^2`` combination cost.
-    representation:
-        ``"tuple"`` (default) runs the pure-Python kernels; ``"array"``
-        routes the default base solver through the array-native DP and
-        Pareto-filters combination buckets with the NumPy kernels.
-        Results are bit-identical either way (``docs/numerics.md``);
-        falls back to tuples when NumPy is unavailable.
     """
-    if representation not in ("tuple", "array"):
-        raise ValueError(
-            f"representation must be 'tuple' or 'array', got {representation!r}"
-        )
-    filt = pareto_filter_sorted
-    if representation == "array":
-        from .frontier_array import HAVE_NUMPY, pareto_filter_sorted_array
-
-        if HAVE_NUMPY:
-            filt = pareto_filter_sorted_array
-    solver: BaseSolver = base_solver or (
-        lambda sub: pareto_dw(sub, representation=representation)
-    )
+    solver: BaseSolver = base_solver or pareto_dw
     source = net.source
 
     def solve(points: List[Point], axis: int) -> List[Solution]:
@@ -114,7 +95,7 @@ def pareto_ks(
             e1 = _tree_edges(t1)
             for _, _, t2 in s2:
                 combined.append(_evaluate(sub, e1 + _tree_edges(t2)))
-        return filt(combined)
+        return pareto_filter_sorted(combined)
 
     emitting = events_enabled()
     if emitting:

@@ -42,7 +42,6 @@ class PatLaborConfig:
     post_refine: bool = True            # SALT-style post-processing
     max_front: int = 64                 # safety cap on |𝒯|
     seed: int = 0
-    representation: str = "tuple"       # frontier kernels: "tuple" | "array"
 
 
 class PatLabor:
@@ -73,17 +72,6 @@ class PatLabor:
     ) -> None:
         self.lut = lut
         self.config = config or PatLaborConfig()
-        if self.config.representation not in ("tuple", "array"):
-            raise ValueError(
-                "representation must be 'tuple' or 'array', got "
-                f"{self.config.representation!r}"
-            )
-        self._filter = pareto_filter_sorted
-        if self.config.representation == "array":
-            from .frontier_array import HAVE_NUMPY, pareto_filter_sorted_array
-
-            if HAVE_NUMPY:
-                self._filter = pareto_filter_sorted_array
         self.rng = random.Random(self.config.seed)
         self.policy = policy or SelectionPolicy()
 
@@ -156,7 +144,7 @@ class PatLabor:
             with span("lut.lookup"):
                 return self.lut.lookup(net)
         counter_add("patlabor.dispatch.dw")
-        return pareto_dw(net, representation=self.config.representation)
+        return pareto_dw(net)
 
     # -------------------------------------------------------- local search
 
@@ -202,7 +190,7 @@ class PatLabor:
                     # candidates need filtering before the linear union.
                     additions = self._expand(net, selection)
                     front = merge_sorted_fronts(
-                        front, self._filter(additions)
+                        front, pareto_filter_sorted(additions)
                     )
                 if len(front) > self.config.max_front:
                     # Truncate by wirelength but always keep the min-delay

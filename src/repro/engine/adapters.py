@@ -62,20 +62,8 @@ def make_patlabor(
     config: Optional[PatLaborConfig] = None,
     lut: Any = None,
     policy: Any = None,
-    representation: Optional[str] = None,
 ) -> Router:
-    """PatLabor with an optional lookup table / config / policy.
-
-    ``representation`` (``"tuple"`` | ``"array"``) overrides the config's
-    frontier-kernel representation, e.g.
-    ``create_router("patlabor", representation="array")``.
-    """
-    if representation is not None:
-        from dataclasses import replace
-
-        config = replace(
-            config or PatLaborConfig(), representation=representation
-        )
+    """PatLabor with an optional lookup table / config / policy."""
     return PatLabor(lut=lut, config=config, policy=policy)
 
 
@@ -84,20 +72,14 @@ def make_patlabor(
     display_name="ParetoDW",
     summary="exact Pareto-frontier Dreyfus-Wagner DP (small nets only)",
 )
-def make_pareto_dw(
-    max_degree: Optional[int] = None, representation: str = "tuple"
-) -> Router:
-    """The exact DP, degree-capped (default cap: the module's ceiling).
-
-    ``representation="array"`` selects the NumPy array-native engine
-    (bit-identical results; see ``docs/numerics.md``).
-    """
+def make_pareto_dw(max_degree: Optional[int] = None) -> Router:
+    """The exact DP, degree-capped (default cap: the module's ceiling)."""
     from ..core.pareto_dw import DEFAULT_MAX_DEGREE, pareto_dw
 
     limit = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
 
     def route(net: Net) -> List[Solution]:
-        return pareto_dw(net, max_degree=limit, representation=representation)
+        return pareto_dw(net, max_degree=limit)
 
     return FunctionRouter(
         "pareto-dw",
@@ -111,25 +93,12 @@ def make_pareto_dw(
     display_name="ParetoKS",
     summary="divide-and-conquer Pareto approximation (Kalpakis-Sherman)",
 )
-def make_pareto_ks(
-    base_size: int = 9,
-    max_front: int = 32,
-    representation: str = "tuple",
-) -> Router:
-    """Pareto-KS with configurable base-case size and front cap.
-
-    ``representation="array"`` routes base cases through the array-native
-    DP and filters combination buckets with the NumPy kernels.
-    """
+def make_pareto_ks(base_size: int = 9, max_front: int = 32) -> Router:
+    """Pareto-KS with configurable base-case size and front cap."""
     from ..core.pareto_ks import pareto_ks
 
     def route(net: Net) -> List[Solution]:
-        return pareto_ks(
-            net,
-            base_size=base_size,
-            max_front=max_front,
-            representation=representation,
-        )
+        return pareto_ks(net, base_size=base_size, max_front=max_front)
 
     return FunctionRouter(
         "pareto-ks", route, RouterCapabilities(exact_up_to=base_size)

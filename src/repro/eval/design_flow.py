@@ -172,7 +172,7 @@ def route_design_negotiated(
     ``config.capacity`` routable wirelength each, and every net's delay
     budget is ``(1 + delay_slack) × delay_lower_bound``. Unlike
     :func:`route_design`, nets negotiate across iterations — see
-    :class:`repro.congestion.negotiate.NegotiatedRouter`. Requires NumPy.
+    :class:`repro.congestion.negotiate.NegotiatedRouter`.
 
     Returns the :class:`repro.congestion.negotiate.NegotiationResult`.
     """

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from .net import Net
 from .point import Point, PointLike
 
@@ -109,24 +111,14 @@ class HananGrid:
         ``distance_matrix()[flat_index(a)][flat_index(b)] == dist(a, b)``
         bit-for-bit: both compute ``|px_a - px_b| + |py_a - py_b|`` over
         the same prefix sums with the same IEEE operations. The matrix is
-        built with one NumPy broadcast (pure-Python fallback when NumPy is
-        unavailable) and returned as nested Python lists so hot loops pay
-        plain ``list`` indexing instead of a per-pair method call —
-        Pareto-DW's closure performs ~2M such lookups per profile run.
+        built with one NumPy broadcast and returned as nested Python lists
+        so hot loops pay plain ``list`` indexing instead of a per-pair
+        method call — Pareto-DW's closure performs ~2M such lookups per
+        profile run.
 
         Memory is ``(nx · ny)²`` floats — at the exact DP's degree ceiling
         (12 pins) that is at most ``144² ≈ 20k`` entries.
         """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a hard dependency
-            n = self.nx * self.ny
-            px, py = self._px, self._py
-            flat = [(px[i // self.ny], py[i % self.ny]) for i in range(n)]
-            return [
-                [abs(ax - bx) + abs(ay - by) for bx, by in flat]
-                for ax, ay in flat
-            ]
         px = np.asarray(self._px)
         py = np.asarray(self._py)
         dx = np.abs(px[:, None] - px[None, :])  # (nx, nx)

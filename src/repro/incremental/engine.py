@@ -26,7 +26,10 @@ canonical copy — hits. Exactness contract: for the exact tiers
 (``closed_form`` / ``lut`` / ``dw``) the incremental frontier is
 bit-identical to a cold full re-route of the edited net — same fronts,
 same tie collapse, same trees; the warm local-search tier is heuristic
-on both paths and is held to equal output *quality* instead.
+on both paths and is held to equal output *quality* instead. A cache
+hit replays whatever tier made the cached front, so it is exact only
+when the edited net's dispatch tier is; :attr:`EcoResult.exact` is the
+one place that rule is applied.
 """
 
 from __future__ import annotations
@@ -51,10 +54,15 @@ from .delta import NetDelta, apply_delta
 CACHE_TIER = "cache"
 #: Tier label for deltas that cannot change a net's frontier (blockage).
 NOOP_TIER = "unchanged"
-#: Tiers whose warm results are bit-identical to a cold re-route (the
-#: ``docs/numerics.md`` exactness contract). ``local_search`` is
+#: Dispatch tiers whose results are bit-identical to a cold re-route
+#: (the ``docs/numerics.md`` exactness contract). ``local_search`` is
 #: heuristic — warm starts change its trajectory, so only quality holds.
-EXACT_TIERS = frozenset({"closed_form", "lut", "dw", CACHE_TIER})
+_EXACT_DISPATCH_TIERS = frozenset({"closed_form", "lut", "dw"})
+#: Result tiers that *can* be bit-identical to a cold re-route. A
+#: ``cache`` result is exact only when the net's dispatch tier is — a hit
+#: on a net past lambda replays a warm local-search front — so decide
+#: exactness with :attr:`EcoResult.exact`, not membership in this set.
+EXACT_TIERS = _EXACT_DISPATCH_TIERS | {CACHE_TIER}
 
 
 @dataclass
@@ -65,7 +73,9 @@ class EcoResult:
     says which warm path served it: ``"cache"``, a PatLabor dispatch
     tier (``"closed_form"`` / ``"lut"`` / ``"dw"`` / ``"local_search"``),
     or ``"unchanged"`` for net-independent deltas. The mask counters are
-    non-zero only on the DW path.
+    non-zero only on the DW path. ``exact`` says whether ``front`` is
+    bit-identical to a cold re-route of the edited net: true when the
+    net's dispatch tier is exact, whether or not the cache served it.
     """
 
     net: Optional[Net]
@@ -73,6 +83,7 @@ class EcoResult:
     tier: str = NOOP_TIER
     kind: str = ""
     cache_hit: bool = False
+    exact: bool = False
     reused_masks: int = 0
     total_masks: int = 0
     wall_s: float = 0.0
@@ -232,6 +243,9 @@ class IncrementalRouter(RouterMiddleware):
         self, session: _NetSession, new_net: Net, delta: NetDelta
     ) -> EcoResult:
         """Serve ``new_net`` through the cheapest valid warm path."""
+        tier_fn = getattr(self.inner, "dispatch_tier", None)
+        tier = str(tier_fn(new_net)) if callable(tier_fn) else ""
+        exact = tier in _EXACT_DISPATCH_TIERS
         lookup = getattr(self.inner, "lookup", None)
         if callable(lookup):
             cached = lookup(new_net)
@@ -239,10 +253,12 @@ class IncrementalRouter(RouterMiddleware):
                 session.net = new_net
                 session.front = cached
                 return EcoResult(
-                    net=new_net, front=cached, tier=CACHE_TIER, cache_hit=True
+                    net=new_net,
+                    front=cached,
+                    tier=CACHE_TIER,
+                    cache_hit=True,
+                    exact=exact,
                 )
-        tier_fn = getattr(self.inner, "dispatch_tier", None)
-        tier = str(tier_fn(new_net)) if callable(tier_fn) else ""
         reuse = DWReuse()
         if tier == "dw":
             front, state, reuse = pareto_dw_with_state(
@@ -261,7 +277,9 @@ class IncrementalRouter(RouterMiddleware):
             front = self.inner.route(new_net)
             session.net = new_net
             session.front = front
-            return EcoResult(net=new_net, front=front, tier=tier or "route")
+            return EcoResult(
+                net=new_net, front=front, tier=tier or "route", exact=exact
+            )
         seed = getattr(self.inner, "seed", None)
         if callable(seed):
             seed(new_net, front)
@@ -271,6 +289,7 @@ class IncrementalRouter(RouterMiddleware):
             net=new_net,
             front=front,
             tier=tier,
+            exact=exact,
             reused_masks=reuse.reused_masks,
             total_masks=reuse.total_masks,
         )

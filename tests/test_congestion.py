@@ -259,18 +259,9 @@ class TestScanCells:
 # ------------------------------------------------- CapacityGrid bit-identity
 
 
-from repro.congestion.model import (  # noqa: E402
-    HAVE_NUMPY,
-    CapacityGrid,
-    np,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="CapacityGrid state arrays require NumPy"
-)
+from repro.congestion.model import CapacityGrid, np  # noqa: E402
 
 
-@needs_numpy
 class TestCapacityGrid:
     def test_prices_equal_base_when_idle(self):
         grid = CapacityGrid.uniform(0, 0, 100, 100, 10, 10, capacity=50.0)
@@ -344,7 +335,6 @@ class TestCapacityGrid:
         assert back.outside_weight == cmap.outside_weight
 
 
-@needs_numpy
 class TestCapacityGridBitIdentity:
     """With zero demand/history, CapacityGrid costs are bit-identical to
     CongestionMap's — the adapter contract the single-net APIs rely on."""

@@ -1,19 +1,17 @@
-"""Array-native kernels agree bit-for-bit with the pure-Python oracle.
+"""The array DW engine's batch kernels agree bit-for-bit with the tuple oracle.
 
-Mirrors ``test_frontier_kernels.py`` for :mod:`repro.core.frontier_array`:
+Covers :mod:`repro.core.frontier_array` and the array engine built on it:
 
-* hypothesis round trips — ``front_to_arrays`` / ``arrays_to_front`` are
-  bit-identical inverses;
-* every array kernel twin returns exactly what its tuple kernel returns
-  (objectives, survivor indices *and* tie choices) on random inputs drawn
-  from a tie-heavy value pool, plus deterministic ``math.nextafter``
-  rounding-collision cases;
-* the segmented batch kernels (``segmented_pareto_filter``,
-  ``segment_strict_prune``, ``ragged_product_indices`` and their packed
-  variants) match straightforward per-segment references;
+* ``pack_objectives`` copies tuple values into the packed array layout
+  verbatim, and a single-segment ``segmented_pareto_filter`` returns
+  exactly what the tuple kernel ``pareto_filter_sorted`` returns, tie
+  choices included;
+* the segmented batch kernels (``segmented_pareto_filter`` and its packed
+  form, ``segment_strict_prune``, ``ragged_product_indices``) match
+  straightforward per-segment references on random tie-heavy inputs;
 * a regression matrix that ``pareto_dw(representation="array")`` equals
-  both the ``kernels=True`` and ``kernels=False`` paths on degree 2-9
-  nets across the Lemma flags, stats parity included.
+  both the ``kernels=True`` and ``kernels=False`` tuple paths on degree
+  2-9 nets across the Lemma flags, stats parity included.
 
 Objective values reuse the integer/non-dyadic pool of the tuple-kernel
 tests so exact ties and rounding collisions occur constantly.
@@ -23,36 +21,18 @@ import math
 import random
 from itertools import product
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.frontier import (
-    cross_sorted,
-    is_sorted_front,
-    merge_shifted,
-    merge_sorted_fronts,
-    pareto_filter_sorted,
-    shift_sorted,
-)
+from repro.core.frontier import pareto_filter_sorted
 from repro.core.frontier_array import (
-    arrays_to_front,
-    cross_sorted_arrays,
-    front_to_arrays,
-    merge_shifted_arrays,
-    merge_sorted_fronts_arrays,
     pack_objectives,
-    pareto_filter_sorted_array,
-    pareto_filter_sorted_arrays,
     ragged_product_indices,
     segment_strict_prune,
     segmented_pareto_filter,
     segmented_pareto_filter_packed,
-    segmented_pareto_keep,
-    shift_sorted_arrays,
 )
 from repro.core.pareto import objectives, pareto_filter
 from repro.core.pareto_dw import DWStats, pareto_dw
@@ -83,12 +63,6 @@ def solution_lists(draw, max_size=12):
 
 
 @st.composite
-def fronts(draw, max_size=12):
-    """Sorted fronts, as produced by ``pareto_filter``."""
-    return pareto_filter(draw(solution_lists(max_size=max_size)))
-
-
-@st.composite
 def segmented_batches(draw, max_segments=5, max_size=40):
     """(seg, w, d) batches with non-decreasing segment ids and tie-heavy values."""
     n = draw(st.integers(0, max_size))
@@ -105,191 +79,69 @@ def segmented_batches(draw, max_segments=5, max_size=40):
 # ------------------------------------------------------------- round trip
 
 
+def _arrays(sols):
+    """The ``(w, d)`` float64 arrays of a tuple front."""
+    w = np.array([s[0] for s in sols], dtype=np.float64)
+    d = np.array([s[1] for s in sols], dtype=np.float64)
+    return w, d
+
+
 class TestRoundTrip:
+    """Tuple values survive the packed array layout bit for bit."""
+
     @few
     @given(solution_lists())
     def test_tuple_array_tuple_is_bit_identical(self, sols):
-        w, d, payloads = front_to_arrays(sols)
-        assert arrays_to_front(w, d, payloads) == sols
+        wd = pack_objectives(*_arrays(sols))
+        back = [
+            (w, d, s[2])
+            for w, d, s in zip(wd.real.tolist(), wd.imag.tolist(), sols)
+        ]
+        assert back == sols
 
     @few
     @given(solution_lists())
     def test_values_copied_verbatim(self, sols):
-        w, d, _ = front_to_arrays(sols)
+        wd = pack_objectives(*_arrays(sols))
         for i, (sw, sd, _p) in enumerate(sols):
             # Bit-level equality, not approximate.
-            assert w[i].item() == sw and d[i].item() == sd
+            assert wd[i].real.item() == sw and wd[i].imag.item() == sd
 
     def test_empty_round_trip(self):
-        w, d, payloads = front_to_arrays([])
-        assert w.shape == (0,) and d.shape == (0,)
-        assert arrays_to_front(w, d, payloads) == []
+        wd = pack_objectives(np.empty(0), np.empty(0))
+        assert wd.shape == (0,)
 
 
 # -------------------------------------------------------------- filtering
 
 
+def _filter_one_front(sols):
+    """The batch filter run on ``sols`` as a single segment."""
+    seg = np.zeros(len(sols), dtype=np.int64)
+    idx = segmented_pareto_filter(seg, *_arrays(sols))
+    return [sols[i] for i in idx.tolist()]
+
+
 class TestParetoFilterSortedArrays:
+    """One segment of the batch filter is ``pareto_filter_sorted`` exactly."""
+
     @few
     @given(solution_lists())
     def test_matches_tuple_kernel_exactly(self, sols):
-        w, d, payloads = front_to_arrays(sols)
-        w2, d2, idx = pareto_filter_sorted_arrays(w, d)
-        got = arrays_to_front(w2, d2, [payloads[i] for i in idx.tolist()])
-        assert got == pareto_filter_sorted(sols) == pareto_filter(sols)
-
-    @few
-    @given(solution_lists())
-    def test_tuple_api_drop_in(self, sols):
-        assert pareto_filter_sorted_array(sols) == pareto_filter_sorted(sols)
+        # Survivors, their order and exact-duplicate tie choices.
+        assert _filter_one_front(sols) == pareto_filter_sorted(sols)
+        assert _filter_one_front(sols) == pareto_filter(sols)
 
     def test_empty_front(self):
-        w2, d2, idx = pareto_filter_sorted_arrays(np.empty(0), np.empty(0))
-        assert w2.shape == d2.shape == idx.shape == (0,)
-        assert pareto_filter_sorted_array([]) == []
+        assert _filter_one_front([]) == []
 
     def test_single_point_survives(self):
-        w2, d2, idx = pareto_filter_sorted_arrays(
-            np.array([1.0]), np.array([2.0])
-        )
-        assert idx.tolist() == [0]
-        assert pareto_filter_sorted_array([(1.0, 2.0, "p")]) == [
-            (1.0, 2.0, "p")
-        ]
+        assert _filter_one_front([(1.0, 2.0, "p")]) == [(1.0, 2.0, "p")]
 
     def test_exact_duplicates_keep_first(self):
-        _, _, idx = pareto_filter_sorted_arrays(
-            np.array([1.0, 1.0]), np.array([2.0, 2.0])
-        )
-        assert idx.tolist() == [0]
-
-
-# ------------------------------------------------------------------ shift
-
-
-class TestShiftSortedArrays:
-    @few
-    @given(fronts(), coord)
-    def test_matches_tuple_kernel(self, front, x):
-        ref = shift_sorted(front, x)
-        w, d, payloads = front_to_arrays(front)
-        w2, d2, idx = shift_sorted_arrays(w, d, x)
-        got = arrays_to_front(w2, d2, [payloads[i] for i in idx.tolist()])
-        assert got == ref
-
-    def test_w_collision_keeps_smaller_delay(self):
-        w = 1293.2694644882506
-        w2 = math.nextafter(w, math.inf)
-        off = 96.61455694252402
-        assert w != w2 and w + off == w2 + off
-        aw, ad, _ = front_to_arrays([(w, 2.0, None), (w2, 1.0, None)])
-        _, _, idx = shift_sorted_arrays(aw, ad, off)
-        assert idx.tolist() == [1]  # replace-on-w-collision: keep last
-
-    def test_d_collision_keeps_earlier_point(self):
-        d_lo = 1293.2694644882506
-        d_hi = math.nextafter(d_lo, math.inf)
-        off = 96.61455694252402
-        assert d_lo + off == d_hi + off
-        aw, ad, _ = front_to_arrays([(1.0, d_hi, None), (2.0, d_lo, None)])
-        _, _, idx = shift_sorted_arrays(aw, ad, off)
-        assert idx.tolist() == [0]  # first point weakly dominates
-
-
-# ------------------------------------------------------------------ cross
-
-
-class TestCrossSortedArrays:
-    @few
-    @given(fronts(max_size=8), fronts(max_size=8))
-    def test_matches_tuple_kernel(self, s1, s2):
-        ref = cross_sorted(s1, s2, lambda a, b: (a, b))
-        w1, d1, p1 = front_to_arrays(s1)
-        w2, d2, p2 = front_to_arrays(s2)
-        w, d, i_idx, j_idx = cross_sorted_arrays(w1, d1, w2, d2)
-        got = arrays_to_front(
-            w, d,
-            [(p1[i], p2[j]) for i, j in zip(i_idx.tolist(), j_idx.tolist())],
-        )
-        assert objectives(got) == objectives(ref)
-        assert is_sorted_front(got)
-        # Index pairs must attain the output objectives exactly.
-        for (ow, od, _), i, j in zip(got, i_idx.tolist(), j_idx.tolist()):
-            assert ow == s1[i][0] + s2[j][0]
-            assert od == max(s1[i][1], s2[j][1])
-
-    @few
-    @given(fronts(max_size=8))
-    def test_empty_operand(self, s1):
-        w1, d1, _ = front_to_arrays(s1)
-        for args in (
-            (w1, d1, np.empty(0), np.empty(0)),
-            (np.empty(0), np.empty(0), w1, d1),
-        ):
-            w, d, i_idx, j_idx = cross_sorted_arrays(*args)
-            assert w.shape == d.shape == i_idx.shape == j_idx.shape == (0,)
-
-    def test_w_collision_emits_single_point(self):
-        w = 1293.2694644882506
-        w2 = math.nextafter(w, math.inf)
-        x = 96.61455694252402
-        assert w + x == w2 + x
-        aw, ad, _ = front_to_arrays([(w, 2.0, None), (w2, 1.0, None)])
-        bw, bd, _ = front_to_arrays([(x, 0.5, None)])
-        ow, od, i_idx, _ = cross_sorted_arrays(aw, ad, bw, bd)
-        assert ow.tolist() == [w + x] and od.tolist() == [1.0]
-        assert i_idx.tolist() == [1]
-
-
-# ------------------------------------------------------------------ union
-
-
-class TestMergeArrays:
-    @few
-    @given(st.lists(fronts(max_size=8), max_size=4))
-    def test_merge_sorted_fronts_matches(self, front_list):
-        ref = merge_sorted_fronts(*front_list)
-        ws, ds, ps = [], [], []
-        for f in front_list:
-            w, d, p = front_to_arrays(f)
-            ws.append(w)
-            ds.append(d)
-            ps.append(p)
-        w2, d2, f_idx, e_idx = merge_sorted_fronts_arrays(ws, ds)
-        got = arrays_to_front(
-            w2, d2,
-            [ps[f][e] for f, e in zip(f_idx.tolist(), e_idx.tolist())],
-        )
-        assert got == ref
-
-    @few
-    @given(
-        st.lists(
-            st.tuples(coord, fronts(max_size=8)),
-            max_size=4,
-        )
-    )
-    def test_merge_shifted_matches(self, runs):
-        ref, _ = merge_shifted([(off, f, None) for off, f in runs])
-        offs = np.array([off for off, _ in runs], dtype=np.float64)
-        ws, ds, ps = [], [], []
-        for _, f in runs:
-            w, d, p = front_to_arrays(f)
-            ws.append(w)
-            ds.append(d)
-            ps.append(p)
-        w2, d2, r_idx, e_idx = merge_shifted_arrays(offs, ws, ds)
-        got = arrays_to_front(
-            w2, d2,
-            [ps[r][e] for r, e in zip(r_idx.tolist(), e_idx.tolist())],
-        )
-        assert got == ref
-
-    def test_empty_inputs(self):
-        w, d, f_idx, e_idx = merge_sorted_fronts_arrays([], [])
-        assert w.shape == d.shape == f_idx.shape == e_idx.shape == (0,)
-        w, d, r_idx, e_idx = merge_shifted_arrays(np.empty(0), [], [])
-        assert w.shape == d.shape == r_idx.shape == e_idx.shape == (0,)
+        assert _filter_one_front([(1.0, 2.0, "a"), (1.0, 2.0, "b")]) == [
+            (1.0, 2.0, "a")
+        ]
 
 
 # ------------------------------------------------------- segmented kernels
@@ -348,16 +200,6 @@ class TestSegmentedFilter:
             segmented_pareto_filter(seg, w, d).tolist()
         )
 
-    @few
-    @given(segmented_batches())
-    def test_keep_mask_on_presorted_input(self, batch):
-        seg, w, d = batch
-        order = np.lexsort((d, w, seg))
-        keep = segmented_pareto_keep(seg[order], w[order], d[order])
-        assert sorted(order[keep].tolist()) == sorted(
-            _ref_segmented_filter(seg.tolist(), w.tolist(), d.tolist())
-        )
-
     def test_empty(self):
         assert segmented_pareto_filter(
             np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
@@ -411,37 +253,33 @@ class TestRaggedProductIndices:
             np.concatenate(([0], np.cumsum(cnt2)[:-1])) if shapes else
             np.empty(0, dtype=np.int64)
         )
-        row, i_idx, j_idx = ragged_product_indices(cnt1, cnt2, start1, start2)
+        i_idx, j_idx = ragged_product_indices(cnt1, cnt2, start1, start2)
         ref = [
-            (r, start1[r] + i, start2[r] + j)
+            (start1[r] + i, start2[r] + j)
             for r in range(len(shapes))
             for i in range(cnt1[r])
             for j in range(cnt2[r])
         ]
-        assert list(zip(row.tolist(), i_idx.tolist(), j_idx.tolist())) == ref
-        # rows=False: same pair streams, rows recoverable by searchsorted.
-        none_row, i2, j2 = ragged_product_indices(
-            cnt1, cnt2, start1, start2, rows=False
-        )
-        assert none_row is None
-        assert i2.tolist() == i_idx.tolist()
-        assert j2.tolist() == j_idx.tolist()
+        assert list(zip(i_idx.tolist(), j_idx.tolist())) == ref
         if len(shapes):
-            rec = np.searchsorted(
-                np.cumsum(cnt1 * cnt2),
-                np.arange(i2.shape[0]),
-                side="right",
+            # The row of each product is recoverable by searchsorted.
+            rows = np.searchsorted(
+                np.cumsum(cnt1 * cnt2), np.arange(i_idx.shape[0]), side="right"
             )
-            assert rec.tolist() == row.tolist()
+            assert rows.tolist() == [
+                r
+                for r in range(len(shapes))
+                for _ in range(cnt1[r] * cnt2[r])
+            ]
 
     def test_all_empty(self):
-        row, i_idx, j_idx = ragged_product_indices(
+        i_idx, j_idx = ragged_product_indices(
             np.array([0, 2], dtype=np.int64),
             np.array([3, 0], dtype=np.int64),
             np.array([0, 0], dtype=np.int64),
             np.array([0, 0], dtype=np.int64),
         )
-        assert row.shape == i_idx.shape == j_idx.shape == (0,)
+        assert i_idx.shape == j_idx.shape == (0,)
 
 
 # ---------------------------------------- pareto_dw representation matrix

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core.pareto_dw import pareto_frontier
+from repro.core.pareto_dw import pareto_dw, pareto_frontier
+from repro.geometry.net import Net
 from repro.lut.default import DATA_FILE, default_router, default_table
 
 
@@ -42,6 +43,29 @@ class TestDefaultTable:
 
             net = random_net(degree, rng=rng)
             assert_fronts_equal(router.route(net), pareto_frontier(net))
+
+    def test_real_valued_fronts_match_dw_to_last_bits(self):
+        """LUT vs DW on real-valued nets: same points, 1e-12 relative.
+
+        The LUT sums each row in symbolic order, so its objectives may
+        differ from the DP's in the last bits (``docs/numerics.md`` §4);
+        the bound here is six orders tighter than ``assert_fronts_equal``.
+        """
+        table = default_table()
+        rng = random.Random(11)
+        for i in range(60):
+            degree = 4 + i % 3
+            pts = [
+                (rng.uniform(0, 1000), rng.uniform(0, 1000))
+                for _ in range(degree)
+            ]
+            net = Net.from_points(pts[0], pts[1:])
+            lut = [(w, d) for w, d, _ in table.lookup(net)]
+            ref = [(w, d) for w, d, _ in pareto_dw(net, kernels=False)]
+            assert len(lut) == len(ref)
+            for got, want in zip(lut, ref):
+                for a, b in zip(got, want):
+                    assert a == pytest.approx(b, rel=1e-12, abs=0.0), (i, lut, ref)
 
     def test_default_router_config_kwargs(self):
         router = default_router(iterations=2, seed=5)

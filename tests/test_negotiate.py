@@ -10,9 +10,8 @@ the ``negotiate_iter`` observability stream, and the ledger metric dict.
 import json
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro import obs
 from repro.congestion.model import CapacityGrid

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.baselines.rsmt import rsmt
 from repro.baselines.salt import salt
 from repro.cli import main
@@ -163,7 +161,6 @@ class TestCli:
         assert (tmp_path / "fig_curve.svg").exists()
 
     def test_negotiate_random_scenario(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
         svg_path = tmp_path / "overuse.svg"
         assert main([
             "negotiate", "--count", "30", "--cells", "6", "--seed", "7",
@@ -175,7 +172,6 @@ class TestCli:
         assert svg_path.read_text().startswith("<svg")
 
     def test_negotiate_json_report(self, capsys):
-        pytest.importorskip("numpy")
         assert main([
             "negotiate", "--count", "20", "--cells", "5", "--seed", "7",
             "--json",

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.baselines.rsmt import rsmt
 from repro.congestion.model import CongestionMap
 from repro.eval.design_flow import DesignFlowConfig, route_design
@@ -74,7 +72,6 @@ class TestFlowReport:
 
 class TestOveruseHeatmapSvg:
     def _grid(self):
-        pytest.importorskip("numpy")
         from repro.congestion.model import CapacityGrid
         from repro.geometry.point import Point
         from repro.routing.embedding import Segment
@@ -106,7 +103,6 @@ class TestOveruseHeatmapSvg:
         assert "peak util 4.00" in svg
 
     def test_infinite_capacity_renders_cold(self):
-        pytest.importorskip("numpy")
         from repro.congestion.model import CapacityGrid
         from repro.viz.heatmap import overuse_heatmap_svg
 
