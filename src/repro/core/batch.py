@@ -1,4 +1,4 @@
-"""Batch routing: route whole net lists with caching and multiprocessing.
+"""Batch routing: route whole net lists with caching, serially or in parallel.
 
 The paper's use case is "route millions of nets"; this module provides the
 throughput layer a production deployment needs:
@@ -9,18 +9,19 @@ throughput layer a production deployment needs:
   in front (``cache_mode=...``).
 * :class:`BatchResult` — per-net Pareto sets plus throughput statistics.
 
-Worker processes build their engine **once, at pool initialization** via
-:func:`repro.engine.build.build_engine` (a pool ``initializer`` stores it
-in a module global), so the engine — lookup tables, cache, RNG state —
-is never re-pickled per task: only nets and plain objective results
-cross process boundaries. With ``cache_store`` set, every worker shares
-one persistent disk tier, so canonical patterns solved by one worker (or
-a previous run) are disk hits for all the others.
+Both paths build their engine from one
+:class:`repro.serve.pool.WorkerSpec`; the parallel path runs on the
+daemon's :class:`repro.serve.pool.WorkerPool`, whose workers build it
+**once, at pool initialization**, so only net payloads and plain
+objective results cross process boundaries. With ``cache_store`` set,
+every worker shares one persistent disk tier, so canonical patterns
+solved by one worker (or a previous run) are disk hits for all the
+others.
 
 When observability is enabled (:func:`repro.obs.enable`) the run is
-profiled end to end: per-net route times, per-worker throughput and queue
-wait, and the workers' own metric registries merged back into the parent
-process — all surfaced both in the global registry and in
+profiled end to end: per-net route times, per-shard throughput, and the
+workers' own metric registries merged back into the parent process —
+all surfaced both in the global registry and in
 :attr:`BatchResult.metrics`.
 """
 
@@ -28,13 +29,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry.net import Net
 from .. import obs
 from ..obs import emit_event, span, timer_observe
 from .pareto import Solution
 from .patlabor import PatLaborConfig
+
+if TYPE_CHECKING:
+    from ..serve.pool import WorkerSpec
 
 
 @dataclass
@@ -64,161 +68,71 @@ class BatchResult:
         return self.cache_hits / total if total else 0.0
 
 
-def _build_batch_engine(
-    config: PatLaborConfig,
-    use_cache: bool,
-    method: str,
-    cache_mode: str,
-    cache_store: Optional[str] = None,
-):
-    """The per-process engine stack: validation, cache, observability.
-
-    Resolved through the :mod:`repro.engine` registry — ``method`` names
-    any registered router; ``config`` is forwarded to PatLabor only (the
-    other routers take no batch-level configuration).
-    """
-    from ..engine import EngineSpec, build_engine
-
-    options: Dict[str, object] = {}
-    if method == "patlabor":
-        options["config"] = config
-    return build_engine(
-        EngineSpec(
-            router=method,
-            router_options=options,
-            cache=cache_mode if use_cache else None,
-            cache_store=cache_store if use_cache else None,
-        )
-    )
-
-
-def _route_with(
-    router, nets: Sequence[Net]
-) -> Tuple[Dict[str, List[Solution]], int, int]:
-    """Route ``nets`` through an assembled engine, counting cache deltas.
-
-    Hit/miss counts are reported as *deltas* over the call (the engine may
-    be a pool-resident instance that already served earlier tasks).
-    """
-    hits0 = getattr(router, "hits", 0) + getattr(router, "store_hits", 0)
-    misses0 = getattr(router, "misses", 0)
-    fronts: Dict[str, List[Solution]] = {}
-    profiling = obs.enabled()
-    for i, net in enumerate(nets):
-        name = net.name or f"net_{i}"
-        if profiling:
-            t0 = time.perf_counter()
-            fronts[name] = router.route(net)
-            timer_observe("batch.net_seconds", time.perf_counter() - t0)
-        else:
-            fronts[name] = router.route(net)
-    hits = getattr(router, "hits", 0) + getattr(router, "store_hits", 0) - hits0
-    misses = getattr(router, "misses", 0) - misses0
-    return fronts, hits, misses
-
-
 def _route_serial(
-    nets: Sequence[Net],
-    config: PatLaborConfig,
-    use_cache: bool,
-    method: str = "patlabor",
-    cache_mode: str = "translation",
-    cache_store: Optional[str] = None,
+    nets: Sequence[Net], spec: "WorkerSpec"
 ) -> Tuple[Dict[str, List[Solution]], int, int]:
-    router = _build_batch_engine(config, use_cache, method, cache_mode, cache_store)
+    """Route ``nets`` in this process on one engine; fronts keep trees."""
+    router = spec.build()
+    fronts: Dict[str, List[Solution]] = {}
     try:
-        return _route_with(router, nets)
+        for i, net in enumerate(nets):
+            t0 = time.perf_counter()
+            fronts[net.name or f"net_{i}"] = router.route(net)
+            timer_observe("batch.net_seconds", time.perf_counter() - t0)
     finally:
         close = getattr(router, "close", None)
         if callable(close):
             close()
+    hits = getattr(router, "hits", 0) + getattr(router, "store_hits", 0)
+    return fronts, hits, getattr(router, "misses", 0)
 
 
-#: Pool-resident worker state, populated once per process by
-#: :func:`_init_worker` — the engine (and its lookup table / cache) lives
-#: here instead of being re-pickled inside every task tuple.
-_POOL_STATE: Dict[str, object] = {}
+def _route_parallel(
+    nets: Sequence[Net], spec: "WorkerSpec", workers: int
+) -> Tuple[Dict[str, List[Solution]], int, int, List[Dict[str, float]]]:
+    """Route ``nets`` as one :func:`repro.serve.pool.route_chunk` per worker.
 
-
-def _init_worker(config_dict, use_cache, method, cache_mode, cache_store, obs_flags):
-    """Pool initializer: build the engine once per worker process.
-
-    Runs in the child before any task. The engine stack (with its lookup
-    table and cache tiers) is constructed here and kept in a module
-    global, so tasks only ship nets; on fork start methods the lookup
-    table pages loaded by the parent are inherited copy-on-write and the
-    per-worker build is effectively free.
+    Worker ``k`` gets the round-robin shard ``nets[k::workers]``, which
+    spreads a degree-sorted net list (as ``repro gen-nets`` writes it)
+    evenly. Returns objective-only fronts, cache hit/miss counts (from
+    each net's ``served`` tier; both 0 without a cache), and one stats
+    entry per shard. :func:`repro.serve.pool.retire` flushes every
+    worker's store counters and merges its telemetry back.
     """
-    profiling, tracing, logging_events = obs_flags
-    registry = obs.get_registry()
-    collector = obs.get_trace_collector()
-    event_log = obs.get_event_log()
-    if profiling or tracing or logging_events:
-        # Fork inherits the parent's buffers; start clean so what is sent
-        # back covers exactly this worker's share.
-        registry.reset()
-        collector.clear()
-        event_log.clear()
-    if profiling:
-        registry.enable()
-    if tracing:
-        collector.enable()
-    if logging_events:
-        event_log.enable()
-    config = PatLaborConfig(**config_dict)
-    _POOL_STATE["engine"] = _build_batch_engine(
-        config, use_cache, method, cache_mode, cache_store
-    )
-    _POOL_STATE["obs_flags"] = obs_flags
+    from ..serve import pool
+    from ..serve.protocol import net_to_payload, result_front
 
-
-def _worker(args):
-    """Process-pool worker: routes one shard on the pool-resident engine.
-
-    Returns payload-free fronts (trees don't cross process boundaries
-    cheaply; objectives are what batch callers need), plus its metrics
-    snapshot / trace events / log events when the parent has the
-    corresponding observability layer enabled. The engine itself comes
-    from :data:`_POOL_STATE` — built once in :func:`_init_worker`, never
-    shipped inside the task tuple.
-    """
-    nets, dispatched_at = args
-    profiling, tracing, logging_events = _POOL_STATE["obs_flags"]
-    started_at = time.time()
-    registry = obs.get_registry()
-    collector = obs.get_trace_collector()
-    event_log = obs.get_event_log()
-    if profiling or tracing or logging_events:
-        # Drop initializer-time noise so what is sent back covers exactly
-        # this task's share.
-        registry.reset()
-        collector.clear()
-        event_log.clear()
-    t0 = time.perf_counter()
-    engine = _POOL_STATE["engine"]
-    fronts, hits, misses = _route_with(engine, nets)
-    # Pool teardown terminates workers without running atexit hooks, so
-    # persist the store's lifetime counters while we still can.
-    store = getattr(engine, "store", None)
-    if store is not None:
-        store.flush_stats()
-    slim = {
-        name: [(w, d, None) for w, d, _t in front]
-        for name, front in fronts.items()
+    payloads = [net_to_payload(net) for net in nets]
+    with pool.WorkerPool(spec, workers) as executor:
+        futures = [
+            executor.submit(pool.route_chunk, payloads[k::workers], k)
+            for k in range(workers)
+        ]
+        shards = [future.result() for future in futures]
+        pool.retire(executor)
+    entries: List[Dict[str, Any]] = [{}] * len(nets)
+    for k, shard in enumerate(shards):
+        entries[k::workers] = shard
+    fronts = {
+        net.name or f"net_{i}": result_front(entry)
+        for i, (net, entry) in enumerate(zip(nets, entries))
     }
-    stats = None
-    if profiling or tracing or logging_events:
-        elapsed = time.perf_counter() - t0
-        stats = {
-            "nets": len(slim),
-            "seconds": elapsed,
-            "nets_per_second": len(slim) / elapsed if elapsed > 0 else 0.0,
-            "queue_wait_seconds": max(0.0, started_at - dispatched_at),
-            "snapshot": registry.snapshot(with_samples=True) if profiling else None,
-            "trace_events": collector.drain() if tracing else [],
-            "events": event_log.drain() if logging_events else [],
-        }
-    return slim, hits, misses, stats
+    misses = sum(entry["served"] == "routed" for entry in entries)
+    hits = len(entries) - misses
+    if spec.cache_mode is None:
+        hits = misses = 0
+    for entry in entries:
+        timer_observe("batch.net_seconds", entry["seconds"])
+    stats: List[Dict[str, float]] = []
+    for shard in shards:
+        seconds = sum(entry["seconds"] for entry in shard)
+        timer_observe("batch.worker_seconds", seconds)
+        stats.append({
+            "nets": len(shard),
+            "seconds": seconds,
+            "nets_per_second": len(shard) / seconds if seconds > 0 else 0.0,
+        })
+    return fronts, hits, misses, stats
 
 
 def route_batch(
@@ -242,82 +156,42 @@ def route_batch(
     every worker (both only when ``use_cache`` is set; disk hits count
     into :attr:`BatchResult.cache_hits`).
 
-    With ``jobs > 1`` the nets are sharded across processes and the
-    returned solutions carry ``None`` payloads (objectives only); run
-    serially when the trees themselves are needed. Each worker builds its
-    engine exactly once, in the pool initializer — tasks carry nets, not
-    engine state. Workers inherit whichever observability layers are
-    enabled in the parent — metrics registry, Chrome-trace capture,
-    structured event log — and ship their buffers back for merging, so
-    cross-process runs still produce one registry, one trace, and one
-    chronological event stream.
+    With ``jobs > 1`` the nets are dealt round-robin into
+    ``min(jobs, len(nets))`` shards on a
+    :class:`repro.serve.pool.WorkerPool` of that many workers (the
+    daemon's pool), and the returned solutions carry ``None`` payloads
+    (objectives only); run serially when the trees themselves are
+    needed. Each observability layer enabled in the parent — metrics
+    registry, Chrome-trace capture, structured event log — is recorded
+    by the workers too and merged back, so cross-process runs still
+    produce one registry, one trace, and one chronological event stream.
     """
+    from ..serve.pool import WorkerSpec
+
     config = config or PatLaborConfig()
     profiling = obs.enabled()
-    tracing = obs.trace_enabled()
     logging_events = obs.events_enabled()
+    spec = WorkerSpec(
+        method=method,
+        cache_mode=cache_mode if use_cache else None,
+        store_path=cache_store if use_cache else None,
+        use_default_lut=False,
+        router_options={"config": config} if method == "patlabor" else {},
+    )
     t0 = time.perf_counter()
+    workers: List[Dict[str, float]] = []
     with span("batch.route_batch"):
         if not nets:
             # Nothing to route: skip pool setup entirely. Ratio metrics
             # (cache_hit_rate, nets_per_second) read 0.0 on this path.
-            result = BatchResult(fronts={}, seconds=time.perf_counter() - t0)
-            if profiling:
-                result.metrics = _batch_metrics(result, workers=[])
-            return result
-        if jobs <= 1:
-            fronts, hits, misses = _route_serial(
-                nets, config, use_cache, method, cache_mode, cache_store
+            fronts: Dict[str, List[Solution]] = {}
+            hits = misses = 0
+        elif jobs <= 1:
+            fronts, hits, misses = _route_serial(nets, spec)
+        else:
+            fronts, hits, misses, workers = _route_parallel(
+                nets, spec, min(jobs, len(nets))
             )
-            result = BatchResult(
-                fronts=fronts,
-                seconds=time.perf_counter() - t0,
-                cache_hits=hits,
-                cache_misses=misses,
-            )
-            if profiling:
-                result.metrics = _batch_metrics(result, workers=None)
-            if logging_events:
-                _emit_batch_event(result, jobs=1)
-            return result
-
-        import multiprocessing
-        from dataclasses import asdict
-
-        shards: List[List[Net]] = [[] for _ in range(jobs)]
-        for i, net in enumerate(nets):
-            shards[i % jobs].append(net)
-        dispatched_at = time.time()
-        obs_flags = (profiling, tracing, logging_events)
-        initargs = (
-            asdict(config), use_cache, method, cache_mode, cache_store,
-            obs_flags,
-        )
-        payload = [(shard, dispatched_at) for shard in shards if shard]
-        fronts: Dict[str, List[Solution]] = {}
-        hits = misses = 0
-        workers: List[Dict[str, float]] = []
-        registry = obs.get_registry()
-        collector = obs.get_trace_collector()
-        event_log = obs.get_event_log()
-        with multiprocessing.Pool(
-            processes=jobs, initializer=_init_worker, initargs=initargs
-        ) as pool:
-            for slim, h, m, stats in pool.map(_worker, payload):
-                fronts.update(slim)
-                hits += h
-                misses += m
-                if stats is not None:
-                    snapshot = stats.pop("snapshot")
-                    if snapshot is not None:
-                        registry.merge_snapshot(snapshot)
-                    collector.extend(stats.pop("trace_events"))
-                    event_log.extend(stats.pop("events"))
-                    timer_observe(
-                        "batch.queue_wait_seconds", stats["queue_wait_seconds"]
-                    )
-                    timer_observe("batch.worker_seconds", stats["seconds"])
-                    workers.append(stats)
     result = BatchResult(
         fronts=fronts,
         seconds=time.perf_counter() - t0,
@@ -325,38 +199,26 @@ def route_batch(
         cache_misses=misses,
     )
     if profiling:
-        result.metrics = _batch_metrics(result, workers=workers)
-    if logging_events:
-        _emit_batch_event(result, jobs=jobs)
+        obs.counter_add("batch.nets", len(result.fronts))
+        result.metrics = {
+            "nets": len(result.fronts),
+            "seconds": result.seconds,
+            "nets_per_second": result.nets_per_second,
+            "cache_hit_rate": result.cache_hit_rate,
+            "cache_hits": result.cache_hits,
+            "cache_misses": result.cache_misses,
+            "workers": workers,
+        }
+    if logging_events and nets:
+        emit_event(
+            "batch_done",
+            nets=len(result.fronts),
+            jobs=max(1, jobs),
+            seconds=result.seconds,
+            nets_per_second=result.nets_per_second,
+            cache_hits=result.cache_hits,
+            cache_misses=result.cache_misses,
+            cache_hit_rate=result.cache_hit_rate,
+            peak_rss_kb=obs.peak_rss_kb(),
+        )
     return result
-
-
-def _emit_batch_event(result: BatchResult, jobs: int) -> None:
-    """One ``batch_done`` summary event per :func:`route_batch` call."""
-    emit_event(
-        "batch_done",
-        nets=len(result.fronts),
-        jobs=jobs,
-        seconds=result.seconds,
-        nets_per_second=result.nets_per_second,
-        cache_hits=result.cache_hits,
-        cache_misses=result.cache_misses,
-        cache_hit_rate=result.cache_hit_rate,
-        peak_rss_kb=obs.peak_rss_kb(),
-    )
-
-
-def _batch_metrics(
-    result: BatchResult, workers: Optional[List[Dict[str, float]]]
-) -> Dict[str, object]:
-    """The headline profile numbers attached to :attr:`BatchResult.metrics`."""
-    obs.counter_add("batch.nets", len(result.fronts))
-    return {
-        "nets": len(result.fronts),
-        "seconds": result.seconds,
-        "nets_per_second": result.nets_per_second,
-        "cache_hit_rate": result.cache_hit_rate,
-        "cache_hits": result.cache_hits,
-        "cache_misses": result.cache_misses,
-        "workers": workers if workers is not None else [],
-    }

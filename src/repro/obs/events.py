@@ -21,9 +21,9 @@ Kind-specific fields are documented per emitter in
      "wall_s": 0.4183, "peak_rss_kb": 54112}
 
 Worker processes buffer their own events and ship them back to the parent
-inside the batch stats payload (:func:`repro.core.batch.route_batch`
-merges them via :meth:`EventLog.extend`), so a multi-process run still
-flushes to one chronologically ordered file.
+when their pool retires (:func:`repro.core.batch.route_batch` merges
+them via :meth:`EventLog.extend`), so a multi-process run still flushes
+to one chronologically ordered file.
 """
 
 from __future__ import annotations

@@ -1,20 +1,22 @@
-"""Worker-pool side of the routing service: one resident engine per worker.
+"""The one worker pool: one resident engine per worker, chunked tasks.
 
-The daemon dispatches net payloads to a ``ProcessPoolExecutor`` whose
-workers run the functions in this module. The engine — router, lookup
-table, cache tiers — is built **exactly once per worker**, inside
-:func:`init_worker` (the pool initializer), and parked in a module
-global. Tasks then carry only the net payload; nothing heavy is ever
-re-pickled per request.
+Both the daemon and :func:`repro.core.batch.route_batch` run on a
+:class:`WorkerPool`. The engine — router, lookup table, cache tiers — is
+built **exactly once per worker**, inside :func:`init_worker` (the pool
+initializer), and parked in a module global. Routing tasks are
+:func:`route_chunk` calls carrying one share of the caller's net
+payloads per worker (the daemon sends contiguous :func:`chunks`, batch
+round-robin shards); work every worker must do once (readiness, and the
+store flush and telemetry drain of :func:`retire`) goes through
+:func:`broadcast`.
 
-The lookup table is additionally pre-loaded in the *parent* before the
-pool is created (:func:`preload_shared_state`), so on fork start methods
-every worker inherits the parsed table copy-on-write and ``init_worker``
-finds it already cached; on spawn methods each worker loads it once from
-disk. Either way: once per worker, never per task.
+The lookup table is additionally pre-loaded in the *parent* when the
+pool is created, so on fork start methods every worker inherits the
+parsed table copy-on-write; on spawn methods each worker loads it once
+from disk. Either way: once per worker, never per task.
 
 Every worker resolves its router through the standard
-:func:`repro.engine.build.build_engine` middleware stack, so serve
+:func:`repro.engine.build.build_engine` middleware stack, so pool
 traffic gets the same validation, canonicalizing cache (optionally
 backed by the shared persistent store), and observability as every other
 entry point.
@@ -22,15 +24,27 @@ entry point.
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
 import os
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from multiprocessing.synchronize import Barrier
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TypeVar
 
 from .. import obs
 from ..engine.build import EngineSpec, build_engine
 from ..engine.protocol import Router, route_select
 from .protocol import net_from_payload, result_to_payload
+
+T = TypeVar("T")
+
+#: Seconds a :func:`broadcast` task waits at the barrier before the round
+#: is abandoned and retried.
+BARRIER_TIMEOUT_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -42,7 +56,7 @@ class WorkerSpec:
     the shipped degree-4..6 table; ``store_path`` attaches the shared
     persistent cache tier; ``telemetry`` turns the worker's own obs
     registry, event log, and trace collector on so the daemon can drain
-    per-worker metrics (:func:`drain_worker_telemetry`) at shutdown.
+    per-worker metrics (:func:`retire`) at shutdown.
     """
 
     method: str = "patlabor"
@@ -74,35 +88,113 @@ class WorkerSpec:
 #: The worker-resident engine, built once by :func:`init_worker`.
 _ENGINE: Optional[Router] = None
 
-
-def preload_shared_state(spec: WorkerSpec) -> None:
-    """Load fork-shareable read-only state in the parent process.
-
-    Called by the server before creating the pool: parsing the ~2 MB
-    lookup-table JSON here means fork-started workers inherit the parsed
-    table copy-on-write instead of re-reading it, and the first request
-    never stalls behind a per-worker load.
-    """
-    if spec.use_default_lut and spec.method == "patlabor":
-        from ..lut.default import default_table
-
-        default_table()
+#: The pool-wide barrier :func:`broadcast` tasks meet at, set by
+#: :func:`init_worker`.
+_BARRIER: Barrier
 
 
-def init_worker(spec: WorkerSpec) -> None:
+def init_worker(
+    spec: WorkerSpec, barrier: Barrier, layers: Tuple[bool, bool, bool]
+) -> None:
     """Pool initializer: build this worker's engine once, park it globally.
 
-    With ``spec.telemetry`` set, the worker's process-local obs registry,
-    event log, and trace collector are enabled too, so per-worker numbers
-    exist for the daemon to fold back (histogram merges are associative,
-    so the fold order across workers never changes the daemon's totals).
+    The obs buffers a fork-started worker inherits are cleared first, so
+    :func:`retire_worker` ships only this worker's share. The worker then
+    records the obs layers the parent had on when the pool was created
+    (``layers``: registry, event log, trace collector), or all three with
+    ``spec.telemetry``, for the parent to fold back (histogram merges are
+    associative, so the fold order across workers never changes the
+    totals). ``barrier`` is the pool's :func:`broadcast` barrier.
     """
-    global _ENGINE
-    if spec.telemetry:
-        obs.enable()
-        obs.events_enable()
-        obs.trace_enable()
+    global _ENGINE, _BARRIER
+    obs.reset()
+    enables = (obs.enable, obs.events_enable, obs.trace_enable)
+    for enable, on in zip(enables, layers):
+        if on or spec.telemetry:
+            enable()
+    _BARRIER = barrier
     _ENGINE = spec.build()
+
+
+class WorkerPool(ProcessPoolExecutor):
+    """A process pool whose ``workers`` processes each hold one engine.
+
+    Every worker runs :func:`init_worker` with ``spec``, ``barrier`` (a
+    ``multiprocessing.Barrier`` sized to the pool) and the obs layers on
+    in this process. A ``spec`` that arms the default lookup table has it
+    parsed here, so fork-started workers inherit it copy-on-write.
+    """
+
+    def __init__(self, spec: WorkerSpec, workers: int) -> None:
+        if spec.use_default_lut and spec.method == "patlabor":
+            from ..lut.default import default_table
+
+            default_table()
+        self.workers = max(1, workers)
+        self.barrier = multiprocessing.Barrier(self.workers)
+        #: Serialises broadcast rounds: two interleaved rounds would meet
+        #: at one barrier and could hand one worker two tasks of a round.
+        self.broadcast_lock = threading.Lock()
+        layers = (obs.enabled(), obs.events_enabled(), obs.trace_enabled())
+        super().__init__(
+            max_workers=self.workers,
+            initializer=init_worker,
+            initargs=(spec, self.barrier, layers),
+        )
+
+
+def chunks(items: Sequence[T], parts: int) -> List[Tuple[int, Sequence[T]]]:
+    """Split ``items`` into at most ``parts`` contiguous near-equal runs.
+
+    Returns ``(first_index, run)`` pairs in order. Run lengths differ by
+    at most one and, for non-empty ``items``, are never zero: fewer items
+    than parts gives one single-item run per item.
+    """
+    parts = max(1, min(parts, len(items)))
+    bounds = [len(items) * k // parts for k in range(parts + 1)]
+    return [(a, items[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _at_barrier(fn: Callable[[], Any], timeout: float) -> Tuple[bool, Any]:
+    """Broadcast task body: wait for every worker, then run ``fn`` once.
+
+    Returns ``(False, None)`` when the barrier broke (a sibling task did
+    not arrive within ``timeout``), in which case ``fn`` did not run.
+    """
+    try:
+        _BARRIER.wait(timeout)
+    except threading.BrokenBarrierError:
+        return False, None
+    return True, fn()
+
+
+def broadcast(
+    pool: WorkerPool, fn: Callable[[], T], *, attempts: Optional[int] = 3
+) -> List[T]:
+    """Run ``fn`` exactly once in every worker of ``pool``; one result each.
+
+    Submits ``pool.workers`` tasks that each wait on the pool's barrier
+    before calling ``fn``; a worker blocked at the barrier cannot take a
+    second task, so the barrier opens only once every worker holds one.
+    A round in which a task waited past :data:`BARRIER_TIMEOUT_S` runs no
+    ``fn`` and is retried on the reset barrier, up to ``attempts`` rounds
+    (``None``: until one succeeds), then ``TimeoutError``. A dead worker
+    surfaces as ``BrokenProcessPool``.
+    """
+    rounds = itertools.count() if attempts is None else range(attempts)
+    for _ in rounds:
+        with pool.broadcast_lock:
+            futures = [
+                pool.submit(_at_barrier, fn, BARRIER_TIMEOUT_S)
+                for _ in range(pool.workers)
+            ]
+            answers = [future.result() for future in futures]
+            if all(ok for ok, _value in answers):
+                return [value for _ok, value in answers]
+            # Every task of the round has returned, so no worker is
+            # waiting: resetting cannot strand one.
+            pool.barrier.reset()
+    raise TimeoutError(f"broadcast missed a worker in {attempts} attempt(s)")
 
 
 def route_payload(
@@ -162,13 +254,39 @@ def route_payload(
     return out
 
 
+def route_chunk(
+    payloads: Sequence[Dict[str, Any]],
+    first_index: int,
+    with_trees: bool = False,
+    request_id: Optional[str] = None,
+    select: Optional[str] = None,
+) -> List[Dict[str, Any]]:
+    """Route a run of net payloads in order (the pool's one route task).
+
+    ``first_index`` is the position of ``payloads[0]`` in the caller's
+    net list. With a ``request_id`` (the daemon, which sends contiguous
+    runs), net ``i`` of the run is traced as
+    ``<request_id>/<first_index + i>``.
+    """
+    return [
+        route_payload(
+            payload,
+            with_trees,
+            request_id,
+            None if request_id is None else f"{request_id}/{first_index + i}",
+            select,
+        )
+        for i, payload in enumerate(payloads)
+    ]
+
+
 def worker_ready() -> Dict[str, Any]:
     """Readiness probe body: proof this worker's initializer completed.
 
-    The daemon submits one of these per worker after pool creation; the
-    returned dict doubles as the evidence behind ``/readyz`` (pid shows
-    which worker answered, store flags show the persistent tier is
-    attached and not degraded).
+    The daemon broadcasts this after pool creation; the returned dicts
+    are the evidence behind ``/readyz`` (one distinct pid per worker,
+    store flags showing the persistent tier is attached and not
+    degraded).
     """
     store = getattr(_ENGINE, "store", None) if _ENGINE is not None else None
     return {
@@ -179,14 +297,20 @@ def worker_ready() -> Dict[str, Any]:
     }
 
 
-def drain_worker_telemetry() -> Dict[str, Any]:
-    """This worker's obs state, serialised for a daemon-side merge.
+def retire_worker() -> Dict[str, Any]:
+    """A worker's last task: release its engine, ship its obs state.
 
-    Returns the registry snapshot (with raw timer samples), the buffered
-    structured events, and the buffered trace events; the worker's
-    buffers are cleared so a later drain ships only new data. Harmless
-    (all empty) when the worker runs without telemetry.
+    Broadcast once by :func:`retire`. Closing the engine flushes its
+    persistent tier, so every worker's session hit/miss statistics land
+    in the store's meta table (pool workers exit without running
+    ``atexit`` hooks) and ``repro cache stats`` stays truthful. Returns
+    the registry snapshot (with raw timer samples), the buffered
+    structured events, and the buffered trace events — each empty for a
+    layer the worker did not record.
     """
+    close = getattr(_ENGINE, "close", None)
+    if callable(close):
+        close()
     return {
         "pid": os.getpid(),
         "snapshot": obs.get_registry().snapshot(with_samples=True),
@@ -195,19 +319,13 @@ def drain_worker_telemetry() -> Dict[str, Any]:
     }
 
 
-def flush_worker() -> Dict[str, float]:
-    """Flush the resident engine's persistent tier; return cache counters.
+def retire(pool: WorkerPool) -> None:
+    """Retire every worker of ``pool`` once, before it shuts down.
 
-    The server broadcasts this at shutdown so every worker's session
-    hit/miss statistics land in the store's meta table before the pool
-    dies, keeping ``repro cache stats`` truthful.
+    Broadcasts :func:`retire_worker` and folds what each worker recorded
+    into this process's obs registry, event log, and trace collector.
     """
-    counters = {
-        "hits": float(getattr(_ENGINE, "hits", 0)),
-        "store_hits": float(getattr(_ENGINE, "store_hits", 0)),
-        "misses": float(getattr(_ENGINE, "misses", 0)),
-    }
-    close = getattr(_ENGINE, "close", None)
-    if callable(close):
-        close()
-    return counters
+    for worker in broadcast(pool, retire_worker):
+        obs.get_registry().merge_snapshot(worker["snapshot"])
+        obs.get_event_log().extend(worker["events"])
+        obs.get_trace_collector().extend(worker["trace"])

@@ -2,9 +2,9 @@
 
 ``repro serve`` turns the per-invocation CLI into **routing as a
 service**: one resident process accepts batched JSON route requests over
-a Unix socket and/or TCP, dispatches nets to a ``ProcessPoolExecutor``
-whose workers each built their engine exactly once
-(:mod:`repro.serve.pool`), and answers with Pareto fronts — so repeated
+a Unix socket and/or TCP, dispatches nets to a
+:class:`repro.serve.pool.WorkerPool` whose workers each built their
+engine exactly once, and answers with Pareto fronts — so repeated
 traffic pays neither interpreter start-up, nor lookup-table parsing, nor
 re-routing of patterns the cache tiers already hold.
 
@@ -13,7 +13,7 @@ Request lifecycle (see ``docs/architecture.md`` for the full diagram)::
     client ── JSON line ──> asyncio reader ──> dispatch ──> worker pool
                                                              (resident
                                                               engine)
-    client <── JSON line ── writer  <── gather  <── per-net futures
+    client <── JSON line ── writer  <── gather  <── one future per chunk
 
 Throughput accounting rides :mod:`repro.obs` (no-op unless enabled):
 ``serve.requests`` / ``serve.nets`` counters, per-tier
@@ -32,7 +32,7 @@ gate, because it is how the daemon is *operated* rather than profiled:
   counts, so the merged per-tier totals equal the daemon's net total by
   construction;
 * a daemon-assigned ``request_id`` on every route request that rides the
-  task tuple into the pool workers (one connected trace lane per request
+  chunk task into the pool workers (one connected trace lane per request
   across pids — see :func:`repro.obs.request_context`);
 * an optional HTTP sidecar (``--metrics-port``) answering ``/metrics``,
   ``/healthz``, and ``/readyz`` (:mod:`repro.serve.http`), plus
@@ -48,7 +48,7 @@ import logging
 import threading
 import time
 import uuid
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
@@ -140,6 +140,8 @@ class RouteServer:
     :meth:`serve_until_stopped` (runs until a ``shutdown`` request or
     :meth:`stop`), after which the pool is drained, every worker's
     persistent-store statistics are flushed, and the sockets are closed.
+    A pool that dies under a request (``BrokenProcessPool``) is rebuilt:
+    the requests in flight on it fail, later ones run on the new pool.
     """
 
     def __init__(self, config: ServeConfig) -> None:
@@ -172,11 +174,12 @@ class RouteServer:
         }
         self.slow_requests = 0
         #: Flipped by the readiness task once every pool worker answered
-        #: its :func:`repro.serve.pool.worker_ready` probe; ``/readyz``
-        #: serves 503 until then.
+        #: the broadcast :func:`repro.serve.pool.worker_ready` probe;
+        #: ``/readyz`` serves 503 until then, and again while a broken
+        #: pool is rebuilt.
         self.ready = False
         self.worker_info: List[Dict[str, Any]] = []
-        self._executor: Optional[ProcessPoolExecutor] = None
+        self._executor: Optional[pool.WorkerPool] = None
         self._servers: List[asyncio.AbstractServer] = []
         self._stop_event: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -198,15 +201,7 @@ class RouteServer:
         """Create the worker pool and bind the configured endpoints."""
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        spec = self.config.worker_spec()
-        # Parse the LUT in the parent first: fork-started workers then
-        # inherit it copy-on-write and initializers are near-instant.
-        pool.preload_shared_state(spec)
-        self._executor = ProcessPoolExecutor(
-            max_workers=max(1, self.config.workers),
-            initializer=pool.init_worker,
-            initargs=(spec,),
-        )
+        self._start_pool()
         if self.config.socket_path is not None:
             self._servers.append(
                 await asyncio.start_unix_server(
@@ -232,27 +227,39 @@ class RouteServer:
                 port=self.config.metrics_port,
             )
             await self._metrics_endpoint.start()
-        self._ready_task = self._loop.create_task(self._await_pool_ready())
         self.started_at = time.time()
 
-    async def _await_pool_ready(self) -> None:
-        """Probe the pool until every worker's initializer has completed.
+    def _start_pool(self) -> None:
+        """Create the worker pool and the task that awaits its readiness."""
+        assert self._loop is not None
+        self.ready = False
+        self.worker_info = []
+        self._executor = pool.WorkerPool(
+            self.config.worker_spec(), self.config.workers
+        )
+        self._ready_task = self._loop.create_task(
+            self._await_pool_ready(self._executor)
+        )
 
-        Submits one :func:`repro.serve.pool.worker_ready` task per worker
-        and gathers the answers. ``/readyz`` flips to 200 only after the
-        gather resolves — i.e. after the pool has actually executed work
-        post-initialization — and only if each answer shows a healthy
-        store when one is configured. A broken pool leaves the daemon
-        permanently not-ready (the right probe verdict for it).
+    async def _await_pool_ready(self, executor: pool.WorkerPool) -> None:
+        """Broadcast :func:`repro.serve.pool.worker_ready` until it succeeds.
+
+        ``/readyz`` reads 200 once every worker of ``executor`` answered,
+        each with a healthy store when one is configured. Route chunks
+        wait for this task (:meth:`_ready_pool`), so the broadcast never
+        competes with them for workers.
         """
-        assert self._loop is not None and self._executor is not None
+        assert self._loop is not None
         try:
-            probes = [
-                self._loop.run_in_executor(self._executor, pool.worker_ready)
-                for _ in range(max(1, self.config.workers))
-            ]
-            info = list(await asyncio.gather(*probes))
-        except (BrokenProcessPool, RuntimeError, asyncio.CancelledError):
+            info = await self._loop.run_in_executor(
+                None,
+                partial(
+                    pool.broadcast, executor, pool.worker_ready, attempts=None
+                ),
+            )
+        except (BrokenProcessPool, RuntimeError):
+            return
+        if executor is not self._executor:
             return
         self.worker_info = info
         needs_store = self.config.store_path is not None
@@ -261,6 +268,20 @@ class RouteServer:
             and (not needs_store or (w.get("store_attached") and w.get("store_healthy")))
             for w in info
         )
+
+    def _rebuild_pool(self, broken: pool.WorkerPool) -> None:
+        """Replace a dead pool (once, however many requests saw it die)."""
+        if broken is self._executor and self._ready_task is not None:
+            broken.shutdown(wait=False)
+            self._ready_task.cancel()
+            self._start_pool()
+
+    async def _ready_pool(self) -> pool.WorkerPool:
+        """The current pool, once its readiness broadcast has finished."""
+        while self._ready_task is not None and not self._ready_task.done():
+            await asyncio.wait({self._ready_task})
+        assert self._executor is not None
+        return self._executor
 
     @property
     def tcp_port(self) -> Optional[int]:
@@ -303,27 +324,12 @@ class RouteServer:
             await self._metrics_endpoint.stop()
             self._metrics_endpoint = None
         if self._executor is not None:
-            if self.config.telemetry:
-                # Drain worker-side telemetry into the daemon's global
-                # registries (histogram merges are associative, so the
-                # drain order across workers is immaterial).
-                try:
-                    for _ in range(max(1, self.config.workers)):
-                        drained = self._executor.submit(
-                            pool.drain_worker_telemetry
-                        ).result(timeout=10)
-                        obs.get_registry().merge_snapshot(drained["snapshot"])
-                        obs.get_event_log().extend(drained["events"])
-                        obs.get_trace_collector().extend(drained["trace"])
-                except Exception:
-                    pass
-            # Best-effort: ask workers to flush their persistent-store
-            # statistics now (their atexit hooks cover stragglers).
+            # Flush every worker's store statistics and drain its
+            # telemetry into the daemon's global registries.
             try:
-                for _ in range(max(1, self.config.workers)):
-                    self._executor.submit(pool.flush_worker).result(timeout=10)
-            except Exception:
-                pass
+                pool.retire(self._executor)
+            except (BrokenProcessPool, TimeoutError):
+                LOGGER.warning("worker retirement failed", exc_info=True)
             self._executor.shutdown(wait=True)
             self._executor = None
         if self._eco_executor is not None:
@@ -450,10 +456,11 @@ class RouteServer:
     async def _op_route(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Fan a route request's nets out to the pool; gather in order.
 
-        The daemon assigns the request a ``request_id`` and each net a
-        ``net_id`` (``<request_id>/<index>``); both ride the task tuple
-        into the worker, scope its spans/events, and come back in the
-        response for end-to-end propagation checks. Worker-measured
+        The nets travel as one contiguous :func:`repro.serve.pool.route_chunk`
+        per worker. The daemon assigns the request a ``request_id`` and
+        each net a ``net_id`` (``<request_id>/<index>``); both ride the
+        chunk into the worker, scope its spans/events, and come back in
+        the response for end-to-end propagation checks. Worker-measured
         per-net seconds are folded into the per-tier latency histograms
         here — on the event loop, so no locking subtleties — which keeps
         the merged tier counts equal to ``self.nets`` at all times.
@@ -475,29 +482,40 @@ class RouteServer:
             # instead of once per net inside the workers.
             resolve_point_policy(select)
         request_id = self._next_request_id()
-        assert self._loop is not None and self._executor is not None
+
+        def submit(executor: pool.WorkerPool) -> List["Future[Any]"]:
+            args = (with_trees, request_id, select)
+            return [
+                executor.submit(pool.route_chunk, run, first, *args)
+                for first, run in pool.chunks(nets, executor.workers)
+            ]
+
         self.queue_depth += len(nets)
         self.queue_depth_max = max(self.queue_depth_max, self.queue_depth)
         obs.gauge_max("serve.queue_depth_max", float(self.queue_depth))
         try:
-            futures = [
-                self._loop.run_in_executor(
-                    self._executor,
-                    partial(
-                        pool.route_payload,
-                        payload,
-                        with_trees,
-                        request_id,
-                        f"{request_id}/{index}",
-                        select,
-                    ),
-                )
-                for index, payload in enumerate(nets)
-            ]
+            executor = await self._ready_pool()
             try:
-                results = await asyncio.gather(*futures)
-            except BrokenProcessPool as exc:
-                raise ReproError(f"worker pool died: {exc}") from exc
+                futures = submit(executor)
+            except BrokenProcessPool:
+                # The pool was found dead before any chunk of this request
+                # could complete: route it on a fresh pool, don't fail it.
+                self._rebuild_pool(executor)
+                executor = await self._ready_pool()
+                futures = submit(executor)
+            # Read every chunk's outcome, so a failure in one never leaves
+            # the others' exceptions unretrieved.
+            answers = await asyncio.gather(
+                *map(asyncio.wrap_future, futures), return_exceptions=True
+            )
+            results: List[Dict[str, Any]] = []
+            for answer in answers:
+                if isinstance(answer, BaseException):
+                    raise answer
+                results.extend(answer)
+        except BrokenProcessPool as exc:
+            self._rebuild_pool(executor)
+            raise ReproError(f"worker pool died: {exc}") from exc
         finally:
             self.queue_depth -= len(nets)
         self.nets += len(results)

@@ -60,6 +60,59 @@ class TestRouteBatch:
         for front in result.fronts.values():
             assert all(p is None for _w, _d, p in front)
 
+    def test_parallel_forks_no_more_workers_than_nets(self, monkeypatch):
+        import repro.serve.pool as pool
+
+        sizes = []
+
+        class RecordingPool(pool.WorkerPool):
+            def __init__(self, spec, workers):
+                sizes.append(workers)
+                super().__init__(spec, workers)
+
+        monkeypatch.setattr(pool, "WorkerPool", RecordingPool)
+        nets = workload(count=2, seed=6)
+        result = route_batch(nets, jobs=4)
+        assert sizes == [2]
+        assert set(result.fronts) == {n.name for n in nets}
+
+    def test_parallel_deals_nets_round_robin(self):
+        """Worker shard k is nets[k::jobs], so a degree-sorted list is
+        spread over the workers; each worker records only the obs layers
+        the parent has on (here the event log)."""
+        from repro import obs
+
+        nets = sorted(
+            workload(count=7, seed=8, degrees=(4, 5, 6, 7)),
+            key=lambda n: len(n.pins),
+        )
+        obs.reset()
+        obs.events_enable()
+        try:
+            result = route_batch(nets, jobs=3, use_cache=False)
+            by_pid = {}
+            for event in obs.get_event_log().events():
+                if event["kind"] == "net_routed":
+                    by_pid.setdefault(event["pid"], set()).add(event["net"])
+            worker_timers = obs.snapshot()["timers"]
+            worker_spans = obs.get_trace_collector().events()
+        finally:
+            obs.events_disable()
+            obs.reset()
+        names = [n.name for n in nets]
+        shards = [set(names[k::3]) for k in range(3)]
+        assert set().union(*by_pid.values()) == set(names)
+        # A worker may take more than one shard, never part of one.
+        for routed in by_pid.values():
+            assert routed == set().union(*(s for s in shards if s & routed))
+        assert "serve.worker_net_seconds" not in worker_timers
+        assert worker_spans == []
+        serial = route_batch(nets, jobs=1, use_cache=False)
+        for name in names:
+            assert [(w, d) for w, d, _ in result.fronts[name]] == [
+                (w, d) for w, d, _ in serial.fronts[name]
+            ]
+
     def test_custom_config_propagates(self):
         nets = [random_net(12, rng=random.Random(5), name="big")]
         result = route_batch(

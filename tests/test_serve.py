@@ -1,6 +1,9 @@
 """Tests for the routing service (repro.serve): protocol and daemon."""
 
+import asyncio
+import os
 import random
+import signal
 import tempfile
 import time
 import urllib.error
@@ -11,6 +14,8 @@ import pytest
 
 from repro.exceptions import SerializationError
 from repro.geometry.net import Net, random_net
+from repro import obs
+from repro.core.cache_store import PersistentStore
 from repro.obs import parse_prometheus_text, validate_exposition
 from repro.serve import (
     METRICS_CONTENT_TYPE,
@@ -19,6 +24,8 @@ from repro.serve import (
     ServeError,
     ServerThread,
 )
+from repro.serve import pool as pool_module
+from repro.serve.pool import WorkerPool, WorkerSpec, broadcast
 from repro.serve.protocol import (
     decode_message,
     encode_message,
@@ -106,10 +113,12 @@ class TestDaemon:
         with ServeClient(socket_path=daemon.config.socket_path) as unix:
             assert unix.ping()
 
-    def test_route_batch_in_order(self, daemon):
+    # 1 and 3 nets are fewer than / not a multiple of the 2 workers' chunks.
+    @pytest.mark.parametrize("count", [1, 3, 6, 7])
+    def test_route_batch_in_order(self, daemon, count):
         nets = [
             random_net(4 + i % 3, rng=random.Random(50 + i), name=f"n{i}")
-            for i in range(6)
+            for i in range(count)
         ]
         with _client(daemon) as client:
             results = client.route(nets)
@@ -477,3 +486,150 @@ class TestDaemonLifecycle:
             with ServeClient(host="127.0.0.1", port=second.server.tcp_port) as c:
                 tiers = list(c.route_tiers([net]))
         assert tiers == ["store"]
+
+
+#: A cheap engine spec for pool-mechanics tests (no lookup table, no cache).
+BARE_SPEC = WorkerSpec(cache_mode=None, use_default_lut=False)
+
+
+class TestWorkerPool:
+    def test_broadcast_runs_once_in_every_worker(self):
+        with WorkerPool(BARE_SPEC, 3) as workers:
+            for _ in range(20):
+                pids = broadcast(workers, os.getpid)
+                assert len(pids) == 3
+                assert len(set(pids)) == 3
+
+    def test_broadcast_retries_a_round_a_busy_worker_missed(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "BARRIER_TIMEOUT_S", 0.1)
+        with WorkerPool(BARE_SPEC, 2) as workers:
+            assert len(set(broadcast(workers, os.getpid))) == 2
+            busy = workers.submit(time.sleep, 1.0)
+            # One worker sleeps through several barrier timeouts: a single
+            # round must give up, retries must eventually reach both.
+            with pytest.raises(TimeoutError):
+                broadcast(workers, os.getpid, attempts=1)
+            pids = broadcast(workers, os.getpid, attempts=None)
+            assert len(set(pids)) == 2
+            busy.result(timeout=30)
+
+
+def _wait_attr_ready(server, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not server.ready:
+        if time.monotonic() > deadline:
+            raise TimeoutError("daemon never became ready")
+        time.sleep(0.01)
+
+
+class TestPoolLifecycle:
+    def test_ready_means_every_worker_answered(self):
+        for _ in range(4):
+            config = ServeConfig(
+                host="127.0.0.1", port=0, workers=2, use_default_lut=False
+            )
+            with ServerThread(config) as handle:
+                _wait_attr_ready(handle.server)
+                pids = {w["pid"] for w in handle.server.worker_info}
+                assert len(pids) == 2
+
+    def test_first_request_waits_for_readiness(self, monkeypatch):
+        """A request sent before the readiness broadcast finished is
+        routed only after it, so the broadcast never competes with route
+        chunks for workers."""
+        from repro.serve.server import RouteServer
+
+        probe = RouteServer._await_pool_ready
+
+        async def slow_probe(server, executor):
+            await asyncio.sleep(0.5)
+            await probe(server, executor)
+
+        monkeypatch.setattr(RouteServer, "_await_pool_ready", slow_probe)
+        config = ServeConfig(
+            host="127.0.0.1", port=0, workers=2, use_default_lut=False
+        )
+        nets = [
+            random_net(5, rng=random.Random(500 + i), name=f"r{i}")
+            for i in range(4)
+        ]
+        with ServerThread(config) as handle:
+            with ServeClient(
+                host="127.0.0.1", port=handle.server.tcp_port
+            ) as c:
+                assert len(c.route(nets)) == len(nets)
+            assert handle.server.ready
+            assert len({w["pid"] for w in handle.server.worker_info}) == 2
+
+    def test_shutdown_drains_and_flushes_every_worker(self, serve_dir):
+        """Both workers route; the shutdown broadcasts then account for
+        every net in the merged telemetry and the store's lifetime
+        counters."""
+        store = serve_dir / "drain.sqlite"
+        config = ServeConfig(
+            host="127.0.0.1",
+            port=0,
+            workers=2,
+            store_path=str(store),
+            telemetry=True,
+        )
+        # Degree-8 nets miss the degree 4-6 table, so each chunk routes
+        # long enough that the idle worker takes the second one.
+        nets = [
+            random_net(8, rng=random.Random(300 + i), name=f"d{i}")
+            for i in range(8)
+        ]
+        obs.reset()
+        try:
+            with ServerThread(config) as handle:
+                _wait_attr_ready(handle.server)
+                with ServeClient(
+                    host="127.0.0.1", port=handle.server.tcp_port
+                ) as c:
+                    assert len(c.route(nets)) == len(nets)
+            assert not handle._thread.is_alive()
+            routed_pids = {
+                e["pid"] for e in obs.get_event_log().events()
+                if e["kind"] == "net_routed"
+            }
+            assert len(routed_pids) == 2
+            timers = obs.snapshot()["timers"]
+            assert timers["serve.worker_net_seconds"]["count"] == len(nets)
+        finally:
+            obs.reset()
+        stats = PersistentStore(store, readonly=True).stats()
+        assert stats["total_hits"] + stats["total_misses"] == len(nets)
+
+    def test_killed_worker_fails_one_request_then_pool_rebuilds(self):
+        config = ServeConfig(
+            host="127.0.0.1", port=0, workers=2, metrics_port=0
+        )
+        nets = [
+            random_net(5, rng=random.Random(400 + i), name=f"k{i}")
+            for i in range(4)
+        ]
+        with ServerThread(config) as handle:
+            server = handle.server
+            _wait_ready(server)
+            victim = server.worker_info[0]["pid"]
+            with ServeClient(host="127.0.0.1", port=server.tcp_port) as c:
+                assert len(c.route(nets)) == len(nets)
+                os.kill(victim, signal.SIGKILL)
+                # Requests keep flowing while the daemon finds the dead
+                # pool and rebuilds it; only one caught in flight may fail.
+                failures = 0
+                deadline = time.monotonic() + 60
+                while not server.ready or victim in {
+                    w["pid"] for w in server.worker_info
+                }:
+                    assert time.monotonic() < deadline, "pool never rebuilt"
+                    try:
+                        assert len(c.route(nets)) == len(nets)
+                    except ServeError as exc:
+                        assert "worker pool died" in str(exc)
+                        failures += 1
+                    time.sleep(0.02)
+                assert failures <= 1
+                _wait_ready(server)
+                assert len({w["pid"] for w in server.worker_info}) == 2
+                assert len(c.route(nets)) == len(nets)
